@@ -442,18 +442,20 @@ impl<M: Kinded + Clone> SimNet<M> {
                 .gen_bool(self.config.faults.duplicate_probability());
 
         let wire_len = payload.wire_len();
-        self.enqueue_remote(from, to, payload.clone(), kind, wire_len);
-        if duplicate {
-            self.stats.record_fault(FaultEvent::Duplicated.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::Duplicated),
-                from,
-                to,
-                kind,
-            );
+        if !duplicate {
             self.enqueue_remote(from, to, payload, kind, wire_len);
+            return;
         }
+        self.enqueue_remote(from, to, payload.clone(), kind, wire_len);
+        self.stats.record_fault(FaultEvent::Duplicated.label());
+        self.record(
+            self.now,
+            TraceEventKind::Fault(FaultEvent::Duplicated),
+            from,
+            to,
+            kind,
+        );
+        self.enqueue_remote(from, to, payload, kind, wire_len);
     }
 
     fn enqueue_remote(

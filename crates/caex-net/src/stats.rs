@@ -47,6 +47,17 @@ pub struct NetStats {
     per_action: BTreeMap<u32, ActionCounters>,
 }
 
+/// Counts one `kind`, allocating its key only on the kind's first
+/// sighting (the send/deliver hot path sees the same few kinds).
+fn bump(counts: &mut BTreeMap<String, u64>, kind: &str) {
+    match counts.get_mut(kind) {
+        Some(count) => *count += 1,
+        None => {
+            counts.insert(kind.to_owned(), 1);
+        }
+    }
+}
+
 /// Send/delivery/drop counters for one action sharing a network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActionCounters {
@@ -61,7 +72,7 @@ pub struct ActionCounters {
 impl NetStats {
     /// Records one send of a message of `kind`.
     pub fn record_send(&mut self, kind: &str) {
-        *self.sent.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.sent, kind);
     }
 
     /// Records the channel a send used (load accounting).
@@ -108,12 +119,12 @@ impl NetStats {
 
     /// Records one delivery of a message of `kind`.
     pub fn record_delivery(&mut self, kind: &str) {
-        *self.delivered.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.delivered, kind);
     }
 
     /// Records one drop of a message of `kind`.
     pub fn record_drop(&mut self, kind: &str) {
-        *self.dropped.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.dropped, kind);
     }
 
     /// Records one send attributed to action `action`.
@@ -150,7 +161,7 @@ impl NetStats {
     /// Records one injected fault of `kind` (a
     /// [`FaultEvent::label`](crate::FaultEvent::label) string).
     pub fn record_fault(&mut self, kind: &str) {
-        *self.faults.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.faults, kind);
     }
 
     /// Faults injected of one kind.
@@ -163,7 +174,7 @@ impl NetStats {
     /// broken connection, a suspicion flap (a peer suspected and then
     /// heard from again), a frame replayed after a redial.
     pub fn record_recovery(&mut self, kind: &str) {
-        *self.recovery.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.recovery, kind);
     }
 
     /// Recovery actions of one kind.

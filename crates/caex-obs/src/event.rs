@@ -28,17 +28,22 @@ pub enum ObsState {
 
 impl fmt::Display for ObsState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ObsState::N => "N",
-            ObsState::X => "X",
-            ObsState::S => "S",
-            ObsState::R => "R",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 
 impl ObsState {
+    /// The single-letter form (`"N"`, `"X"`, `"S"`, `"R"`).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            ObsState::N => "N",
+            ObsState::X => "X",
+            ObsState::S => "S",
+            ObsState::R => "R",
+        }
+    }
+
     /// Parses the single-letter form produced by `Display`.
     #[must_use]
     pub fn parse(s: &str) -> Option<ObsState> {
@@ -243,9 +248,7 @@ pub trait Observer {
     }
 }
 
-/// The null observer: every event is dropped. `run()` delegates to
-/// `run_observed(…, &mut ())` so un-instrumented runs pay only a
-/// virtual call per event.
+/// The null observer: every event is dropped.
 impl Observer for () {
     fn on_event(&mut self, _event: &ObsEvent) {}
 }

@@ -17,7 +17,7 @@ pub const DEFAULT_US_BOUNDS: [u64; 8] =
 
 /// Message kinds counted against the §4.4 bound. `leave_ready` is
 /// leave coordination, which the paper's count does not include.
-const LAW_KINDS: [&str; 5] =
+pub const LAW_KINDS: [&str; 5] =
     ["exception", "ack", "have_nested", "nested_completed", "commit"];
 
 /// A fixed-bucket histogram over `u64` samples (microseconds).
@@ -396,10 +396,7 @@ impl MetricsRegistry {
 
 impl Observer for MetricsRegistry {
     fn on_event(&mut self, event: &ObsEvent) {
-        *self
-            .events_total
-            .entry(event.kind.label().to_owned())
-            .or_insert(0) += 1;
+        add(&mut self.events_total, event.kind.label(), 1);
         self.touch_state(event.object, event.at);
 
         match &event.kind {
@@ -414,7 +411,7 @@ impl Observer for MetricsRegistry {
                 if let Some((state, since)) = self.state_since.get_mut(&event.object) {
                     debug_assert_eq!(state, from);
                     let dwell = now.as_micros().saturating_sub(since.as_micros());
-                    *self.dwell_us.entry(from.to_string()).or_insert(0) += dwell;
+                    add(&mut self.dwell_us, from.label(), dwell);
                     *state = *to;
                     *since = now;
                 }
@@ -448,11 +445,9 @@ impl Observer for MetricsRegistry {
                 }
             }
             ObsKind::MessageSent { kind, .. } => {
-                *self.messages_total.entry((*kind).to_owned()).or_insert(0) += 1;
+                add(&mut self.messages_total, kind, 1);
                 if event.span.round > 0 {
-                    let kind = (*kind).to_owned();
-                    let round = self.round_mut(event.span);
-                    *round.by_kind.entry(kind).or_insert(0) += 1;
+                    add(&mut self.round_mut(event.span).by_kind, kind, 1);
                 }
             }
             ObsKind::ResolutionCommit { resolved, .. } => {
@@ -503,7 +498,7 @@ impl Observer for MetricsRegistry {
         // Close every object's final dwell interval.
         for (state, since) in self.state_since.values() {
             let dwell = at.as_micros().saturating_sub(since.as_micros());
-            *self.dwell_us.entry(state.to_string()).or_insert(0) += dwell;
+            add(&mut self.dwell_us, state.label(), dwell);
         }
 
         // Finalize committed rounds in a stable order.
@@ -582,6 +577,17 @@ pub struct MetricsSnapshot {
     pub resolution_latency_wall: HistogramSnapshot,
     /// Handler duration histogram (sim µs).
     pub handler_durations: HistogramSnapshot,
+}
+
+/// Adds `by` to `key`'s counter, allocating the key only on its first
+/// sighting (the per-event labels repeat from a small fixed set).
+fn add(counts: &mut BTreeMap<String, u64>, key: &str, by: u64) {
+    match counts.get_mut(key) {
+        Some(count) => *count += by,
+        None => {
+            counts.insert(key.to_owned(), by);
+        }
+    }
 }
 
 /// Escapes a Prometheus label value per the text exposition format:

@@ -51,8 +51,8 @@ pub struct RunReport {
     pub stats: NetStats,
     /// Virtual time when the network went quiescent.
     pub finished_at: SimTime,
-    /// Objects stuck mid-resolution at quiescence (deadlock/livelock
-    /// indicators; empty on a healthy run).
+    /// Objects stuck mid-resolution at quiescence, ascending by id
+    /// (deadlock/livelock indicators; empty on a healthy run).
     pub deadlocked: Vec<NodeId>,
     /// `true` if the run was stopped by the delivery limit.
     pub hit_delivery_limit: bool,
@@ -528,7 +528,7 @@ impl Scenario {
     /// (entering actions out of nesting order, raising outside actions).
     #[must_use]
     pub fn run(self) -> RunReport {
-        self.run_observed(&mut ())
+        self.run_inner(None)
     }
 
     /// Like [`Scenario::run`], but streams typed [`caex_obs::ObsEvent`]s
@@ -541,6 +541,14 @@ impl Scenario {
     /// Panics on the same scenario programming errors as [`Scenario::run`].
     #[must_use]
     pub fn run_observed(self, obs: &mut dyn caex_obs::Observer) -> RunReport {
+        self.run_inner(Some(obs))
+    }
+
+    /// The event loop behind [`Scenario::run`] and
+    /// [`Scenario::run_observed`]. Without an observer it never touches
+    /// the [`crate::ObsBridge`]: unobserved runs pay only for the
+    /// protocol.
+    fn run_inner(self, mut obs: Option<&mut dyn caex_obs::Observer>) -> RunReport {
         let num_nodes = self
             .registry
             .iter()
@@ -558,14 +566,15 @@ impl Scenario {
             suspicions.extend(self.config.faults.restarts().map(|(n, down, _)| (down, n)));
         }
         let mut net: SimNet<Event> = SimNet::new(self.config, num_nodes);
-        let mut participants: HashMap<NodeId, Participant> = (0..num_nodes)
+        // Indexed by `NodeId::index()`: node ids are dense.
+        let mut participants: Vec<Participant> = (0..num_nodes)
             .map(NodeId::new)
             .map(|id| {
                 let mut p = Participant::new(id, Arc::clone(&self.registry), self.strategy);
                 p.set_resolver_group(self.resolver_group);
                 p.set_leave_mode(self.leave_mode);
                 p.set_failover(self.failover);
-                (id, p)
+                p
             })
             .collect();
         for &(down_at, victim) in &suspicions {
@@ -582,13 +591,13 @@ impl Scenario {
         }
         for (object, action, table) in self.handlers {
             participants
-                .get_mut(&object)
+                .get_mut(object.index() as usize)
                 .expect("handler for unknown object")
                 .set_handlers(action, table);
         }
         for (object, action, remaining) in self.nested_remaining {
             participants
-                .get_mut(&object)
+                .get_mut(object.index() as usize)
                 .expect("nested_remaining for unknown object")
                 .set_nested_remaining(action, remaining);
         }
@@ -618,14 +627,20 @@ impl Scenario {
             let at = delivery.at;
             let object = delivery.to;
             let participant = participants
-                .get_mut(&object)
+                .get_mut(object.index() as usize)
                 .expect("delivery to unknown object");
-            if let caex_net::DeliverySource::Remote(from) = delivery.source {
-                bridge.on_receive(object, &delivery.payload, from, at, None, obs);
-            }
-            let pre = bridge.pre(participant, &delivery.payload);
-            let effects = participant.handle(delivery.payload);
-            bridge.post(&pre, participant, &effects, at, None, obs);
+            let effects = match obs.as_deref_mut() {
+                Some(obs) => {
+                    if let caex_net::DeliverySource::Remote(from) = delivery.source {
+                        bridge.on_receive(object, &delivery.payload, from, at, None, obs);
+                    }
+                    let pre = bridge.pre(participant, &delivery.payload);
+                    let effects = participant.handle(delivery.payload);
+                    bridge.post(&pre, participant, &effects, at, None, obs);
+                    effects
+                }
+                None => participant.handle(delivery.payload),
+            };
             for effect in effects {
                 match effect {
                     Effect::Send { to, msg } => {
@@ -718,11 +733,13 @@ impl Scenario {
         }
 
         let deadlocked: Vec<NodeId> = participants
-            .values()
+            .iter()
             .filter(|p| !p.is_normal())
             .map(Participant::id)
             .collect();
-        obs.on_run_end(net.now());
+        if let Some(obs) = obs {
+            obs.on_run_end(net.now());
+        }
 
         RunReport {
             resolutions,

@@ -28,7 +28,8 @@
 
 use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant, Scenario};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{NetConfig, NetStats, NodeId, SimNet, SimTime};
+use caex_net::{Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use caex_obs::Observer as _;
 use caex_tree::Exception;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -243,7 +244,8 @@ pub struct FleetReport {
     pub stats: NetStats,
     /// Virtual time each shard went quiescent.
     pub shard_finished: Vec<SimTime>,
-    /// Objects stuck mid-resolution at quiescence, across shards.
+    /// Objects stuck mid-resolution at quiescence, across shards,
+    /// ascending by id.
     pub deadlocked: Vec<NodeId>,
     /// `true` if any shard hit its delivery cap.
     pub hit_delivery_limit: bool,
@@ -361,7 +363,7 @@ impl FleetEngine {
 
         let outputs: Vec<ShardOutput> = if shards == 1 {
             let batch = per_shard.pop().expect("one shard");
-            vec![run_shard(batch, 0, &self.config, &mut ())]
+            vec![run_shard(batch, 0, &self.config, None)]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = per_shard
@@ -369,7 +371,7 @@ impl FleetEngine {
                     .enumerate()
                     .map(|(s, batch)| {
                         let config = &self.config;
-                        scope.spawn(move || run_shard(batch, s, config, &mut ()))
+                        scope.spawn(move || run_shard(batch, s, config, None))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("shard thread")).collect()
@@ -396,7 +398,7 @@ impl FleetEngine {
         assert_eq!(self.config.shards, 1, "run_observed is single-shard");
         assert!(self.config.capacity >= 1, "need at least one slot");
         let batch = instances.into_iter().enumerate().collect();
-        let output = run_shard(batch, 0, &self.config, obs);
+        let output = run_shard(batch, 0, &self.config, Some(obs));
         merge_outputs(vec![output], self.config.collect_flame)
     }
 }
@@ -463,15 +465,170 @@ struct Live {
     handlers_open: u64,
 }
 
+/// One resolution round's §4.4 tally.
+struct RoundTally {
+    action: ActionId,
+    /// Law-kind messages sent while this was the action's latest round.
+    sends: u64,
+    /// Distinct raised exceptions (`P`), fixed by the round's first
+    /// commit; `None` while the round has not committed.
+    raised: Option<u64>,
+    /// Objects that aborted nested actions during the round (`Q`).
+    aborters: Vec<NodeId>,
+}
+
+/// One action of the shard: its owning instance and its latest round.
+#[derive(Clone, Copy)]
+struct ActionSlot {
+    /// Local slot of the owning instance in the shard's batch.
+    owner: usize,
+    /// Index of the action's latest round in [`ActionTable::rounds`].
+    round: Option<usize>,
+    open: bool,
+}
+
+/// The shard's actions, indexed by [`ActionId::index`], plus the §4.4
+/// law tally the loop keeps from the effects it already handles.
+///
+/// The tally is the definition `MetricsRegistry` checks (DESIGN §8),
+/// with rounds numbered as [`crate::ObsBridge`] numbers them: a raise
+/// opens a round unless one is open, a commit closes it, and messages
+/// count towards the action's latest round. `N` is the size of the
+/// action's scope, `P` the distinct exceptions of the committed raised
+/// set, `Q` the objects that aborted nested actions in the round.
+struct ActionTable {
+    slots: Vec<Option<ActionSlot>>,
+    rounds: Vec<RoundTally>,
+}
+
+impl ActionTable {
+    fn new(batch: &[(usize, ActionInstance)]) -> Self {
+        let len = batch
+            .iter()
+            .map(|(_, inst)| inst.action_range().end as usize)
+            .max()
+            .unwrap_or(0);
+        let mut slots = vec![None; len];
+        for (owner, (_, inst)) in batch.iter().enumerate() {
+            for a in inst.action_range() {
+                slots[a as usize] = Some(ActionSlot {
+                    owner,
+                    round: None,
+                    open: false,
+                });
+            }
+        }
+        ActionTable {
+            slots,
+            rounds: Vec::new(),
+        }
+    }
+
+    fn slot(&mut self, action: ActionId) -> Option<&mut ActionSlot> {
+        self.slots.get_mut(action.index() as usize)?.as_mut()
+    }
+
+    fn owner(&self, action: ActionId) -> Option<usize> {
+        self.slots.get(action.index() as usize)?.map(|s| s.owner)
+    }
+
+    fn latest(&mut self, action: ActionId) -> Option<&mut RoundTally> {
+        let round = self.slot(action)?.round?;
+        Some(&mut self.rounds[round])
+    }
+
+    fn sent(&mut self, action: ActionId, kind: &str) {
+        if caex_obs::metrics::LAW_KINDS.contains(&kind) {
+            if let Some(round) = self.latest(action) {
+                round.sends += 1;
+            }
+        }
+    }
+
+    fn raised(&mut self, action: ActionId) {
+        let next = self.rounds.len();
+        let Some(slot) = self.slot(action) else { return };
+        if slot.open {
+            return;
+        }
+        slot.open = true;
+        slot.round = Some(next);
+        self.rounds.push(RoundTally {
+            action,
+            sends: 0,
+            raised: None,
+            aborters: Vec::new(),
+        });
+    }
+
+    fn aborted(&mut self, outer: ActionId, object: NodeId) {
+        if let Some(round) = self.latest(outer) {
+            if !round.aborters.contains(&object) {
+                round.aborters.push(object);
+            }
+        }
+    }
+
+    fn committed(&mut self, action: ActionId, raised: &[(NodeId, Exception)]) {
+        if let Some(slot) = self.slot(action) {
+            slot.open = false;
+        }
+        if let Some(round) = self.latest(action) {
+            let distinct = raised
+                .iter()
+                .enumerate()
+                .filter(|(i, (_, e))| raised[..*i].iter().all(|(_, f)| f.id() != e.id()))
+                .count();
+            round.raised.get_or_insert(distinct as u64);
+        }
+    }
+
+    /// Per-instance `(law_predicted, law_holds)`: the predictions of
+    /// the instance's committed rounds summed, and their verdicts
+    /// conjoined. Rounds outside the closed form's domain (`P = 0` or
+    /// `P + Q > N`) don't count.
+    fn verdicts(
+        &self,
+        batch: &[(usize, ActionInstance)],
+        law: Option<fn(u64, u64, u64) -> u64>,
+    ) -> Vec<(Option<u64>, Option<bool>)> {
+        let mut out = vec![(None, None); batch.len()];
+        let Some(law) = law else { return out };
+        for round in &self.rounds {
+            let (Some(p), Some(owner)) = (round.raised, self.owner(round.action)) else {
+                continue;
+            };
+            let n = batch[owner]
+                .1
+                .registry
+                .scope(round.action)
+                .map_or(0, |s| s.participants().len() as u64);
+            let q = round.aborters.len() as u64;
+            if p >= 1 && p + q <= n {
+                let want = law(n, p, q);
+                let (predicted, holds) = &mut out[owner];
+                *predicted.get_or_insert(0) += want;
+                let holds = holds.get_or_insert(true);
+                *holds = *holds && want == round.sends;
+            }
+        }
+        out
+    }
+}
+
 /// Runs one shard's event loop: interleave all assigned instances'
 /// deliveries in virtual-time order, admitting instances into
 /// `capacity` slots in arrival order.
+///
+/// Without an observer (and without flame collection) the loop never
+/// touches [`crate::ObsBridge`]: unobserved runs pay only for the
+/// protocol and the loop's own bookkeeping.
 #[allow(clippy::too_many_lines)]
 fn run_shard(
     mut batch: Vec<(usize, ActionInstance)>,
     shard: usize,
     config: &FleetConfig,
-    obs: &mut dyn caex_obs::Observer,
+    obs: Option<&mut dyn caex_obs::Observer>,
 ) -> ShardOutput {
     let num_nodes = batch
         .iter()
@@ -479,18 +636,18 @@ fn run_shard(
         .map(|n| n.index() + 1)
         .max()
         .unwrap_or(0);
-    // Node ranges must be disjoint: one node serves one instance.
-    {
-        let mut owners: HashMap<NodeId, usize> = HashMap::new();
-        for (i, inst) in &batch {
-            for &n in &inst.nodes {
-                assert!(
-                    owners.insert(n, *i).is_none(),
-                    "node {n} assigned to two instances in shard {shard}"
-                );
-            }
+    // node -> local slot in `batch`. Node ranges must be disjoint: one
+    // node serves one instance.
+    let mut node_owner: Vec<Option<usize>> = vec![None; num_nodes as usize];
+    for (local, (_, inst)) in batch.iter().enumerate() {
+        for &n in &inst.nodes {
+            assert!(
+                node_owner[n.index() as usize].replace(local).is_none(),
+                "node {n} assigned to two instances in shard {shard}"
+            );
         }
     }
+    let mut actions = ActionTable::new(&batch);
 
     let mut net_config = config.net.clone();
     net_config.seed = net_config
@@ -498,29 +655,21 @@ fn run_shard(
         .wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(shard as u64));
     let mut net: SimNet<Event> = SimNet::new(net_config, num_nodes);
 
-    let mut metrics = match config.law {
-        Some(law) => caex_obs::MetricsRegistry::new().with_law(law),
-        None => caex_obs::MetricsRegistry::new(),
-    };
     let mut flame = caex_obs::FlameBuilder::new();
-
-    // node -> local slot in `batch`; action id -> local slot.
-    let mut node_owner: HashMap<NodeId, usize> = HashMap::new();
-    let mut action_owner: HashMap<ActionId, usize> = HashMap::new();
-    for (local, (_, inst)) in batch.iter().enumerate() {
-        for &n in &inst.nodes {
-            node_owner.insert(n, local);
-        }
-        for a in inst.action_range() {
-            action_owner.insert(ActionId::new(a), local);
-        }
+    let observing = obs.is_some() || config.collect_flame;
+    let mut tee = caex_obs::Tee::new();
+    if config.collect_flame {
+        tee.push(&mut flame);
     }
+    if let Some(obs) = obs {
+        tee.push(obs);
+    }
+    let mut bridge = crate::ObsBridge::new();
 
-    let mut participants: HashMap<NodeId, Participant> = HashMap::new();
+    let mut participants: Vec<Option<Participant>> = (0..num_nodes).map(|_| None).collect();
     let mut live: Vec<Option<Live>> = (0..batch.len()).map(|_| None).collect();
     let mut pending: VecDeque<usize> = (0..batch.len()).collect();
     let mut active = 0usize;
-    let mut bridge = crate::ObsBridge::new();
     let mut leave_requests: HashMap<ActionId, std::collections::BTreeSet<NodeId>> = HashMap::new();
     let mut hit_delivery_limit = false;
 
@@ -542,11 +691,11 @@ fn run_shard(
                     p.set_resolver_group(inst.resolver_group);
                     p.set_leave_mode(inst.leave_mode);
                     p.set_failover(inst.failover);
-                    participants.insert(n, p);
+                    participants[n.index() as usize] = Some(p);
                 }
                 for (object, action, table) in handlers {
-                    participants
-                        .get_mut(&object)
+                    participants[object.index() as usize]
+                        .as_mut()
                         .expect("handler for unknown object")
                         .set_handlers(action, table);
                 }
@@ -574,23 +723,22 @@ fn run_shard(
         }
         let at = delivery.at;
         let object = delivery.to;
-        let local = node_owner.get(&object).copied();
+        let local = node_owner[object.index() as usize];
         let is_handler_done = matches!(delivery.payload, Event::HandlerDone { .. });
-        let participant = participants
-            .get_mut(&object)
+        let participant = participants[object.index() as usize]
+            .as_mut()
             .expect("delivery to unknown object");
-        let mut tee = caex_obs::Tee::new().with(&mut metrics);
-        if config.collect_flame {
-            tee = tee.with(&mut flame);
-        }
-        let mut tee = tee.with(obs);
-        if let caex_net::DeliverySource::Remote(from) = delivery.source {
-            bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
-        }
-        let pre = bridge.pre(participant, &delivery.payload);
-        let effects = participant.handle(delivery.payload);
-        bridge.post(&pre, participant, &effects, at, None, &mut tee);
-        drop(tee);
+        let effects = if observing {
+            if let caex_net::DeliverySource::Remote(from) = delivery.source {
+                bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
+            }
+            let pre = bridge.pre(participant, &delivery.payload);
+            let effects = participant.handle(delivery.payload);
+            bridge.post(&pre, participant, &effects, at, None, &mut tee);
+            effects
+        } else {
+            participant.handle(delivery.payload)
+        };
         if is_handler_done {
             if let Some(slot) = local.and_then(|l| live[l].as_mut()) {
                 slot.handlers_open = slot.handlers_open.saturating_sub(1);
@@ -598,33 +746,33 @@ fn run_shard(
         }
         for effect in effects {
             match effect {
-                Effect::Send { to, msg } => net.send(object, to, Event::Msg(msg)),
+                Effect::Send { to, msg } => {
+                    actions.sent(msg.action(), msg.kind());
+                    net.send(object, to, Event::Msg(msg));
+                }
                 Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                Effect::Note(note) => match &note {
+                Effect::Note(note) => match note {
+                    Note::Raised { action, .. } => actions.raised(action),
+                    Note::AbortedNested { outer, .. } | Note::WaitingForNested { outer, .. } => {
+                        actions.aborted(outer, object);
+                    }
                     Note::ResolutionCommitted {
                         action,
                         resolver,
                         resolved,
-                        ..
+                        raised,
                     } => {
-                        if let Some(slot) = action_owner
-                            .get(action)
-                            .copied()
-                            .and_then(|l| live[l].as_mut())
-                        {
+                        actions.committed(action, &raised);
+                        if let Some(slot) = actions.owner(action).and_then(|l| live[l].as_mut()) {
                             if slot.committed.is_none() {
                                 slot.committed = Some(at);
-                                slot.resolver = Some(*resolver);
-                                slot.resolved = Some(resolved.clone());
+                                slot.resolver = Some(resolver);
+                                slot.resolved = Some(resolved);
                             }
                         }
                     }
                     Note::HandlerStarted { action, .. } => {
-                        if let Some(slot) = action_owner
-                            .get(action)
-                            .copied()
-                            .and_then(|l| live[l].as_mut())
-                        {
+                        if let Some(slot) = actions.owner(action).and_then(|l| live[l].as_mut()) {
                             slot.handlers_open += 1;
                         }
                     }
@@ -633,11 +781,11 @@ fn run_shard(
                             .map(|l| batch[l].1.leave_mode)
                             .unwrap_or(LeaveMode::Managed);
                         if instance_mode == LeaveMode::Managed {
-                            let waiting = leave_requests.entry(*action).or_default();
-                            waiting.insert(*o);
+                            let waiting = leave_requests.entry(action).or_default();
+                            waiting.insert(o);
                             let registry = &batch[local.expect("leave from owned node")].1.registry;
                             let everyone = registry
-                                .scope(*action)
+                                .scope(action)
                                 .expect("declared action")
                                 .participants();
                             if waiting.len() == everyone.len() {
@@ -645,7 +793,7 @@ fn run_shard(
                                     net.schedule_local(
                                         net.now(),
                                         member,
-                                        Event::LeaveGranted(*action),
+                                        Event::LeaveGranted(action),
                                     );
                                 }
                             }
@@ -664,11 +812,11 @@ fn run_shard(
                     slot.finished.is_none()
                         && slot.committed.is_some()
                         && slot.handlers_open == 0
-                        && batch[l]
-                            .1
-                            .nodes
-                            .iter()
-                            .all(|n| participants.get(n).is_none_or(Participant::is_normal))
+                        && batch[l].1.nodes.iter().all(|n| {
+                            participants[n.index() as usize]
+                                .as_ref()
+                                .is_none_or(Participant::is_normal)
+                        })
                 }
                 None => false,
             };
@@ -681,34 +829,22 @@ fn run_shard(
             }
         }
     }
-    obs.on_run_end(net.now());
+    tee.on_run_end(net.now());
+    drop(tee);
 
-    // Per-instance law verdicts from the metrics registry's rounds.
-    let mut law_predicted: HashMap<usize, u64> = HashMap::new();
-    let mut law_holds: HashMap<usize, bool> = HashMap::new();
-    for r in metrics.resolutions() {
-        if let Some(&l) = action_owner.get(&r.action) {
-            if let Some(pred) = r.predicted {
-                *law_predicted.entry(l).or_insert(0) += pred;
-            }
-            if let Some(holds) = r.law_holds {
-                let entry = law_holds.entry(l).or_insert(true);
-                *entry = *entry && holds;
-            }
-        }
-    }
-
+    let verdicts = actions.verdicts(&batch, config.law);
     let deadlocked: Vec<NodeId> = participants
-        .values()
+        .iter()
+        .flatten()
         .filter(|p| !p.is_normal())
         .map(Participant::id)
         .collect();
 
     let outcomes = batch
         .iter()
-        .enumerate()
-        .map(|(l, (global, inst))| {
-            let slot = live[l].as_ref();
+        .zip(live)
+        .zip(verdicts)
+        .map(|(((global, inst), slot), (law_predicted, law_holds))| {
             let messages = inst
                 .action_range()
                 .map(|a| net.stats().action_counters(a).sent)
@@ -718,14 +854,14 @@ fn run_shard(
                 shard,
                 key: inst.key,
                 arrival: inst.arrival,
-                admitted: slot.map_or(inst.arrival, |s| s.admitted),
-                committed: slot.and_then(|s| s.committed),
-                finished: slot.and_then(|s| s.finished),
-                resolver: slot.and_then(|s| s.resolver),
-                resolved: slot.and_then(|s| s.resolved.clone()),
+                admitted: slot.as_ref().map_or(inst.arrival, |s| s.admitted),
+                committed: slot.as_ref().and_then(|s| s.committed),
+                finished: slot.as_ref().and_then(|s| s.finished),
+                resolver: slot.as_ref().and_then(|s| s.resolver),
+                resolved: slot.and_then(|s| s.resolved),
                 messages,
-                law_predicted: law_predicted.get(&l).copied(),
-                law_holds: law_holds.get(&l).copied(),
+                law_predicted,
+                law_holds,
                 deadline: inst.deadline.map(|d| inst.arrival + d),
             }
         })

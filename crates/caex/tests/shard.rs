@@ -6,10 +6,10 @@
 //! generator's engine *is* the single-action engine when the fleet
 //! degenerates.
 
-use caex::shard::{ActionInstance, FleetConfig, FleetEngine};
+use caex::shard::{ActionInstance, FleetConfig, FleetEngine, FleetReport};
 use caex::{analysis, workloads};
-use caex_net::{NetConfig, NodeId, SimTime};
-use caex_obs::{ObsEvent, Observer};
+use caex_net::{LatencyModel, NetConfig, NodeId, SimTime};
+use caex_obs::{MetricsRegistry, ObsEvent, Observer, Tee, Watchdog};
 use proptest::prelude::*;
 
 /// Collects the raw event stream.
@@ -152,5 +152,187 @@ proptest! {
         prop_assert_eq!(outcome.committed, Some(r.at));
         prop_assert_eq!(outcome.finished, Some(direct.finished_at));
         prop_assert!(fleet.deadlocked.is_empty());
+    }
+}
+
+/// `count` relocated `general_at(n, p, q)` instances, one every 40 µs,
+/// at disjoint node/action ranges starting from the given bases.
+fn relocated_batch(
+    (n, p, q): (u32, u32, u32),
+    count: u32,
+    node_base: u32,
+    action_base: u32,
+) -> Vec<ActionInstance> {
+    (0..count)
+        .map(|i| {
+            let w = workloads::general_at(
+                n,
+                p,
+                q,
+                node_base + i * n,
+                action_base + i * (1 + q),
+                NetConfig::default(),
+            );
+            ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * 40))
+        })
+        .collect()
+}
+
+fn fleet_config(law: fn(u64, u64, u64) -> u64, capacity: usize, net: NetConfig) -> FleetConfig {
+    FleetConfig {
+        shards: 1,
+        capacity,
+        net,
+        law: Some(law),
+        ..Default::default()
+    }
+}
+
+fn law_off_by_one(n: u64, p: u64, q: u64) -> u64 {
+    analysis::messages_general(n, p, q) + 1
+}
+
+#[test]
+fn unobserved_fleet_computes_a_real_law_verdict_per_instance() {
+    let config = fleet_config(analysis::messages_general, 3, NetConfig::default());
+    let report = FleetEngine::new(config).run(relocated_batch((4, 2, 1), 12, 0, 0));
+    assert_eq!(report.committed_count(), 12);
+    for o in &report.outcomes {
+        assert_eq!(o.law_holds, Some(true), "instance {}", o.instance);
+        assert_eq!(o.law_predicted, Some(24), "instance {}", o.instance);
+        assert_eq!(o.messages, 24);
+    }
+    assert!(report.law_all_hold());
+}
+
+#[test]
+fn a_law_off_by_one_fails_every_instance() {
+    let config = fleet_config(law_off_by_one, 3, NetConfig::default());
+    let report = FleetEngine::new(config).run(relocated_batch((4, 2, 1), 6, 0, 0));
+    for o in &report.outcomes {
+        assert_eq!(o.law_holds, Some(false), "instance {}", o.instance);
+        assert_eq!(o.law_predicted, Some(25), "instance {}", o.instance);
+    }
+    assert!(!report.law_all_hold());
+}
+
+#[test]
+fn no_law_means_no_verdict() {
+    let config = FleetConfig {
+        law: None,
+        ..fleet_config(analysis::messages_general, 3, NetConfig::default())
+    };
+    let report = FleetEngine::new(config).run(relocated_batch((4, 2, 1), 4, 0, 0));
+    assert!(report
+        .outcomes
+        .iter()
+        .all(|o| o.law_holds.is_none() && o.law_predicted.is_none()));
+}
+
+/// Runs a batch observed by `MetricsRegistry` + `Watchdog`, returning
+/// the report and the registry (finalized by the engine).
+fn observed(config: FleetConfig, batch: Vec<ActionInstance>) -> (FleetReport, MetricsRegistry, bool) {
+    let mut metrics = match config.law {
+        Some(law) => MetricsRegistry::new().with_law(law),
+        None => MetricsRegistry::new(),
+    };
+    let mut watchdog = Watchdog::new();
+    let report = {
+        let mut tee = Tee::new().with(&mut metrics).with(&mut watchdog);
+        FleetEngine::new(config).run_observed(batch, &mut tee)
+    };
+    (report, metrics, watchdog.is_clean())
+}
+
+/// Per-instance `(predicted, holds)` as an attached `MetricsRegistry`
+/// reports them: its rounds grouped by the instance's action range.
+fn registry_verdict(metrics: &MetricsRegistry, range: std::ops::Range<u32>) -> (Option<u64>, Option<bool>) {
+    let mut predicted = None;
+    let mut holds = None;
+    for r in metrics.resolutions() {
+        if !range.contains(&r.action.index()) {
+            continue;
+        }
+        if let Some(want) = r.predicted {
+            *predicted.get_or_insert(0) += want;
+        }
+        if let Some(h) = r.law_holds {
+            let all = holds.get_or_insert(true);
+            *all = *all && h;
+        }
+    }
+    (predicted, holds)
+}
+
+/// Asserts two fleet reports agree on everything but observation.
+fn assert_same_report(a: &FleetReport, b: &FleetReport) {
+    assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.shard_finished, b.shard_finished);
+    assert_eq!(a.deadlocked, b.deadlocked);
+    assert_eq!(a.hit_delivery_limit, b.hit_delivery_limit);
+}
+
+#[test]
+fn observed_and_unobserved_fleets_return_identical_outcomes() {
+    let jitter = NetConfig::default()
+        .with_latency(LatencyModel::Uniform {
+            min: SimTime::from_micros(50),
+            max: SimTime::from_micros(150),
+        })
+        .with_seed(7);
+    for (shape, law) in [
+        ((4, 2, 1), analysis::messages_general as fn(u64, u64, u64) -> u64),
+        ((5, 3, 2), analysis::messages_general),
+        ((4, 2, 1), law_off_by_one),
+    ] {
+        for net in [NetConfig::default(), jitter.clone()] {
+            let config = fleet_config(law, 2, net);
+            let batch = || relocated_batch(shape, 10, 3, 5);
+            let plain = FleetEngine::new(config.clone()).run(batch());
+            let (watched, metrics, clean) = observed(config, batch());
+            assert!(clean, "watchdog violation on {shape:?}");
+            assert_same_report(&plain, &watched);
+            for o in &plain.outcomes {
+                assert!(o.law_holds.is_some(), "every instance is checked");
+            }
+            // The engine's own verdict is the registry's, instance by
+            // instance.
+            let instances = relocated_batch(shape, 10, 3, 5);
+            for (o, inst) in plain.outcomes.iter().zip(&instances) {
+                assert_eq!(
+                    (o.law_predicted, o.law_holds),
+                    registry_verdict(&metrics, inst.action_range()),
+                    "instance {} of {shape:?}",
+                    o.instance
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The engine's per-instance law verdict and prediction equal what
+    /// an attached `MetricsRegistry` computes from the event stream,
+    /// under the true law and under one off by one.
+    #[test]
+    fn fleet_law_verdict_matches_the_metrics_registry(
+        (n, p, q, node_base, action_base) in arb_shape(),
+        off_by_one in any::<bool>(),
+    ) {
+        let law = if off_by_one { law_off_by_one } else { analysis::messages_general };
+        let config = fleet_config(law, 2, NetConfig::default());
+        let batch = || relocated_batch((n, p, q), 3, node_base, action_base);
+        let plain = FleetEngine::new(config.clone()).run(batch());
+        let (watched, metrics, _) = observed(config, batch());
+        for (o, inst) in plain.outcomes.iter().zip(&batch()) {
+            let want = registry_verdict(&metrics, inst.action_range());
+            prop_assert_eq!((o.law_predicted, o.law_holds), want);
+            prop_assert_eq!(o.law_holds, Some(!off_by_one));
+        }
+        prop_assert_eq!(format!("{:?}", plain.outcomes), format!("{:?}", watched.outcomes));
+        prop_assert_eq!(&plain.stats, &watched.stats);
     }
 }
