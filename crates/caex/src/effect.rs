@@ -118,6 +118,16 @@ pub enum Note {
         /// The discarded message.
         msg: Msg,
     },
+    /// A peer message failed validation at receipt: an `Exception` or
+    /// `NestedCompleted` naming an exception class outside the action's
+    /// tree, or an undeclared action. It was discarded unacknowledged
+    /// and changed no state.
+    Rejected {
+        /// The receiving object.
+        object: NodeId,
+        /// The discarded message.
+        msg: Msg,
+    },
     /// Buffered messages of a nested action were cleaned up after a
     /// `HaveNested` announced its abortion.
     CleanedNestedMessages {

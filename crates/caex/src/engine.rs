@@ -1,10 +1,10 @@
 //! Scenario scripting and the discrete-event execution engine.
 
-use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant};
+use crate::{Effect, Event, LeaveMode, Msg, NestedStrategy, Note, Participant};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
 use caex_net::{NetConfig, NetStats, NodeId, SimNet, SimTime, TraceLog};
 use caex_tree::Exception;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ pub struct RunReport {
     /// Protocol fan-outs by kind — the message count the §4.5 reliable
     /// multicast regime would need (each fan-out = one multicast, no
     /// ACKs).
-    pub multicasts: std::collections::BTreeMap<String, u64>,
+    pub multicasts: BTreeMap<String, u64>,
     /// Total bytes the protocol messages would occupy on the wire
     /// (per the [`crate::codec`] encoding) — §2.1's "narrow bandwidth"
     /// accounting.
@@ -244,7 +244,7 @@ pub struct Scenario {
 
 /// An exit-line acceptance test: `None` accepts, `Some(exc)` rejects
 /// with the exception to raise (Fig. 2b).
-type AcceptanceTest = Box<dyn FnMut() -> Option<Exception>>;
+type AcceptanceTest = Box<dyn FnMut() -> Option<Exception> + Send>;
 
 impl fmt::Debug for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -291,7 +291,7 @@ impl Scenario {
     #[must_use]
     pub fn with_exit_acceptance<F>(mut self, action: ActionId, test: F) -> Self
     where
-        F: FnMut() -> Option<Exception> + 'static,
+        F: FnMut() -> Option<Exception> + Send + 'static,
     {
         self.acceptance.push((action, Box::new(test)));
         self
@@ -544,11 +544,10 @@ impl Scenario {
         self.run_inner(Some(obs))
     }
 
-    /// The event loop behind [`Scenario::run`] and
-    /// [`Scenario::run_observed`]. Without an observer it never touches
-    /// the [`crate::ObsBridge`]: unobserved runs pay only for the
-    /// protocol.
-    fn run_inner(self, mut obs: Option<&mut dyn caex_obs::Observer>) -> RunReport {
+    /// [`Scenario::run`] and [`Scenario::run_observed`]: installs the
+    /// whole script at time zero into one [`SimDriver`] and records the
+    /// report from its steps.
+    fn run_inner(mut self, obs: Option<&mut dyn caex_obs::Observer>) -> RunReport {
         let num_nodes = self
             .registry
             .iter()
@@ -556,203 +555,309 @@ impl Scenario {
             .map(|n| n.index() + 1)
             .max()
             .unwrap_or(0);
-        // The engine plays the failure detector (with failover on):
-        // collect the fault plan's crash/restart schedule before the
-        // config moves into the net, then deliver a `DeserterSuspected`
-        // to every survivor one detection delay after each down edge.
-        let mut suspicions: Vec<(SimTime, NodeId)> = Vec::new();
-        if self.failover {
-            suspicions.extend(self.config.faults.crashes().map(|(n, at)| (at, n)));
-            suspicions.extend(self.config.faults.restarts().map(|(n, down, _)| (down, n)));
+        let config = std::mem::take(&mut self.config);
+        let mut driver = SimDriver::new(config, num_nodes, self.max_deliveries, obs);
+        let nodes: Vec<NodeId> = (0..num_nodes).map(NodeId::new).collect();
+        driver.install(&mut self, &nodes, SimTime::ZERO);
+        let mut recorded = Recorded::default();
+        while driver.step(&mut recorded).is_some() {}
+        driver.end();
+
+        RunReport {
+            resolutions: recorded.resolutions,
+            handler_starts: recorded.handler_starts,
+            failures: recorded.failures,
+            notes: recorded.notes,
+            stats: driver.net.stats().clone(),
+            finished_at: driver.net.now(),
+            deadlocked: driver.deadlocked(),
+            hit_delivery_limit: driver.hit_delivery_limit,
+            trace: driver.net.trace().clone(),
+            multicasts: recorded.multicasts,
+            wire_bytes: recorded.wire_bytes,
         }
-        let mut net: SimNet<Event> = SimNet::new(self.config, num_nodes);
-        // Indexed by `NodeId::index()`: node ids are dense.
-        let mut participants: Vec<Participant> = (0..num_nodes)
-            .map(NodeId::new)
-            .map(|id| {
-                let mut p = Participant::new(id, Arc::clone(&self.registry), self.strategy);
-                p.set_resolver_group(self.resolver_group);
-                p.set_leave_mode(self.leave_mode);
-                p.set_failover(self.failover);
-                p
-            })
-            .collect();
-        for &(down_at, victim) in &suspicions {
-            let report_at = down_at + self.detection_delay;
-            for survivor in (0..num_nodes).map(NodeId::new) {
-                if survivor != victim {
-                    net.schedule_local(
-                        report_at,
-                        survivor,
-                        Event::DeserterSuspected { peer: victim },
-                    );
-                }
+    }
+}
+
+/// What [`Scenario::run`] records from the driver's steps.
+#[derive(Default)]
+struct Recorded {
+    resolutions: Vec<ResolutionRecord>,
+    handler_starts: Vec<HandlerStart>,
+    failures: Vec<(NodeId, ActionId, Exception)>,
+    notes: Vec<Note>,
+    multicasts: BTreeMap<String, u64>,
+    wire_bytes: u64,
+}
+
+impl Recorder for Recorded {
+    fn sent(&mut self, msg: &Msg) {
+        self.wire_bytes += crate::codec::encoded_len(msg) as u64;
+    }
+
+    fn note(&mut self, at: SimTime, note: Note) {
+        match &note {
+            Note::ResolutionCommitted {
+                action,
+                resolver,
+                resolved,
+                raised,
+            } => self.resolutions.push(ResolutionRecord {
+                action: *action,
+                resolver: *resolver,
+                resolved: resolved.clone(),
+                raised: raised.clone(),
+                at,
+            }),
+            Note::HandlerStarted {
+                object,
+                action,
+                exc,
+                ..
+            } => self.handler_starts.push(HandlerStart {
+                object: *object,
+                action: *action,
+                exc: exc.clone(),
+                at,
+            }),
+            Note::ActionFailed {
+                object,
+                action,
+                exc,
+            } => self.failures.push((*object, *action, exc.clone())),
+            Note::Multicast { kind, .. } => {
+                *self.multicasts.entry((*kind).to_owned()).or_insert(0u64) += 1;
+            }
+            _ => {}
+        }
+        self.notes.push(note);
+    }
+}
+
+/// What a [`SimDriver`]'s caller records from each step.
+pub(crate) trait Recorder {
+    /// `object` is about to handle `event`.
+    fn delivering(&mut self, _object: NodeId, _event: &Event) {}
+
+    /// A participant sent `msg`.
+    fn sent(&mut self, msg: &Msg);
+
+    /// A participant emitted `note` while handling a delivery at `at`.
+    fn note(&mut self, at: SimTime, note: Note);
+}
+
+/// The discrete-event loop that drives [`Participant`]s over a
+/// [`SimNet`] — the one loop behind both [`Scenario::run`] and the
+/// fleet shard ([`crate::shard`]).
+///
+/// Callers [`install`](Self::install) scripts and
+/// [`step`](Self::step) deliveries; the driver plays the rest of the
+/// runtime: the centralized action manager's synchronized exit lines
+/// (with their acceptance tests) and, with failover on, the failure
+/// detector. Without an observer it never touches the
+/// [`crate::ObsBridge`]: unobserved runs pay only for the protocol.
+pub(crate) struct SimDriver<'o> {
+    pub(crate) net: SimNet<Event>,
+    /// Indexed by `NodeId::index()`; `None` until a script installs
+    /// the node.
+    participants: Vec<Option<Participant>>,
+    /// The fault plan's down edges (crashes, then restarts) as
+    /// `(at, node)`.
+    downs: Vec<(SimTime, NodeId)>,
+    max_deliveries: u64,
+    /// `true` once the run was stopped by the delivery limit.
+    pub(crate) hit_delivery_limit: bool,
+    /// Synchronized exit lines: action -> objects waiting to leave.
+    leave_requests: HashMap<ActionId, BTreeSet<NodeId>>,
+    acceptance: HashMap<ActionId, AcceptanceTest>,
+    bridge: crate::ObsBridge,
+    obs: Option<&'o mut dyn caex_obs::Observer>,
+}
+
+impl<'o> SimDriver<'o> {
+    /// A driver over `num_nodes` nodes with no script installed. Stops
+    /// (and flags it) after `max_deliveries` deliveries.
+    pub(crate) fn new(
+        config: NetConfig,
+        num_nodes: u32,
+        max_deliveries: u64,
+        obs: Option<&'o mut dyn caex_obs::Observer>,
+    ) -> Self {
+        let mut downs: Vec<(SimTime, NodeId)> =
+            config.faults.crashes().map(|(n, at)| (at, n)).collect();
+        downs.extend(config.faults.restarts().map(|(n, down, _)| (down, n)));
+        SimDriver {
+            net: SimNet::new(config, num_nodes),
+            participants: (0..num_nodes).map(|_| None).collect(),
+            downs,
+            max_deliveries,
+            hit_delivery_limit: false,
+            leave_requests: HashMap::new(),
+            acceptance: HashMap::new(),
+            bridge: crate::ObsBridge::new(),
+            obs,
+        }
+    }
+
+    /// Installs `script` on `nodes`: builds their participants with the
+    /// script's settings, handler tables and `nested_remaining` times,
+    /// takes over its acceptance tests, and schedules its steps as
+    /// offsets from `start`. With failover on, every down edge of a
+    /// node in `nodes` is reported to the other nodes one detection
+    /// delay later, as an [`Event::DeserterSuspected`]. The script's
+    /// own network config and delivery limit are not read.
+    pub(crate) fn install(&mut self, script: &mut Scenario, nodes: &[NodeId], start: SimTime) {
+        for &id in nodes {
+            let mut p = Participant::new(id, Arc::clone(&script.registry), script.strategy);
+            p.set_resolver_group(script.resolver_group);
+            p.set_leave_mode(script.leave_mode);
+            p.set_failover(script.failover);
+            self.participants[id.index() as usize] = Some(p);
+        }
+        let downs = self
+            .downs
+            .iter()
+            .filter(|(_, v)| script.failover && nodes.contains(v));
+        for &(down_at, victim) in downs {
+            for &survivor in nodes.iter().filter(|&&n| n != victim) {
+                self.net.schedule_local(
+                    down_at + script.detection_delay,
+                    survivor,
+                    Event::DeserterSuspected { peer: victim },
+                );
             }
         }
-        for (object, action, table) in self.handlers {
-            participants
-                .get_mut(object.index() as usize)
+        for (object, action, table) in script.handlers.drain(..) {
+            self.participants[object.index() as usize]
+                .as_mut()
                 .expect("handler for unknown object")
                 .set_handlers(action, table);
         }
-        for (object, action, remaining) in self.nested_remaining {
-            participants
-                .get_mut(object.index() as usize)
+        for (object, action, remaining) in script.nested_remaining.drain(..) {
+            self.participants[object.index() as usize]
+                .as_mut()
                 .expect("nested_remaining for unknown object")
                 .set_nested_remaining(action, remaining);
         }
-        for (time, object, event) in self.steps {
-            net.schedule_local(time, object, event);
+        self.acceptance.extend(script.acceptance.drain(..));
+        for (offset, object, event) in script.steps.drain(..) {
+            self.net.schedule_local(start + offset, object, event);
         }
+    }
 
-        let mut notes = Vec::new();
-        let mut resolutions = Vec::new();
-        let mut handler_starts = Vec::new();
-        let mut failures = Vec::new();
-        let mut multicasts = std::collections::BTreeMap::new();
-        let mut wire_bytes = 0u64;
-        let mut hit_delivery_limit = false;
-        // Synchronized exit lines: action -> objects waiting to leave.
-        let mut leave_requests: HashMap<ActionId, std::collections::BTreeSet<NodeId>> =
-            HashMap::new();
-        let mut acceptance: HashMap<ActionId, AcceptanceTest> =
-            self.acceptance.into_iter().collect();
-        let mut bridge = crate::ObsBridge::new();
-
-        while let Some(delivery) = net.next_delivery() {
-            if net.delivered_count() > self.max_deliveries {
-                hit_delivery_limit = true;
-                break;
-            }
-            let at = delivery.at;
-            let object = delivery.to;
-            let participant = participants
-                .get_mut(object.index() as usize)
-                .expect("delivery to unknown object");
-            let effects = match obs.as_deref_mut() {
-                Some(obs) => {
-                    if let caex_net::DeliverySource::Remote(from) = delivery.source {
-                        bridge.on_receive(object, &delivery.payload, from, at, None, obs);
-                    }
-                    let pre = bridge.pre(participant, &delivery.payload);
-                    let effects = participant.handle(delivery.payload);
-                    bridge.post(&pre, participant, &effects, at, None, obs);
-                    effects
+    /// Delivers the next event, dispatches its effects and hands each
+    /// sent message and note to `rec`. Returns the delivery's time and
+    /// recipient, or `None` at quiescence or at the delivery limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a delivery to a node no script installed, and on the
+    /// scenario programming errors participants panic on.
+    pub(crate) fn step(&mut self, rec: &mut impl Recorder) -> Option<(SimTime, NodeId)> {
+        let delivery = self.net.next_delivery()?;
+        if self.net.delivered_count() > self.max_deliveries {
+            self.hit_delivery_limit = true;
+            return None;
+        }
+        let (at, object) = (delivery.at, delivery.to);
+        rec.delivering(object, &delivery.payload);
+        let participant = self.participants[object.index() as usize]
+            .as_mut()
+            .expect("delivery to unknown object");
+        let effects = match self.obs.as_deref_mut() {
+            Some(obs) => {
+                if let caex_net::DeliverySource::Remote(from) = delivery.source {
+                    self.bridge
+                        .on_receive(object, &delivery.payload, from, at, None, obs);
                 }
-                None => participant.handle(delivery.payload),
-            };
-            for effect in effects {
-                match effect {
-                    Effect::Send { to, msg } => {
-                        wire_bytes += crate::codec::encoded_len(&msg) as u64;
-                        net.send(object, to, Event::Msg(msg));
+                let pre = self.bridge.pre(participant, &delivery.payload);
+                let effects = participant.handle(delivery.payload);
+                self.bridge.post(&pre, participant, &effects, at, None, obs);
+                effects
+            }
+            None => participant.handle(delivery.payload),
+        };
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg } => {
+                    rec.sent(&msg);
+                    self.net.send(object, to, Event::Msg(msg));
+                }
+                Effect::After { delay, event } => self.net.schedule_local_in(delay, object, event),
+                Effect::Note(note) => {
+                    if let Note::LeaveRequested { object, action } = note {
+                        self.leave_requested(object, action);
                     }
-                    Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                    Effect::Note(note) => {
-                        match &note {
-                            Note::ResolutionCommitted {
-                                action,
-                                resolver,
-                                resolved,
-                                raised,
-                            } => resolutions.push(ResolutionRecord {
-                                action: *action,
-                                resolver: *resolver,
-                                resolved: resolved.clone(),
-                                raised: raised.clone(),
-                                at,
-                            }),
-                            Note::HandlerStarted {
-                                object: o,
-                                action,
-                                exc,
-                                ..
-                            } => handler_starts.push(HandlerStart {
-                                object: *o,
-                                action: *action,
-                                exc: exc.clone(),
-                                at,
-                            }),
-                            Note::ActionFailed {
-                                object: o,
-                                action,
-                                exc,
-                            } => failures.push((*o, *action, exc.clone())),
-                            Note::Multicast { kind, .. } => {
-                                *multicasts.entry((*kind).to_owned()).or_insert(0u64) += 1;
-                            }
-                            Note::LeaveRequested { object: o, action }
-                                if self.leave_mode == LeaveMode::Managed =>
-                            {
-                                // The centralized action manager's
-                                // synchronized exit: grant the leave once
-                                // every participant is at the line.
-                                let waiting = leave_requests.entry(*action).or_default();
-                                waiting.insert(*o);
-                                let everyone = self
-                                    .registry
-                                    .scope(*action)
-                                    .expect("declared action")
-                                    .participants();
-                                if waiting.len() == everyone.len() {
-                                    // Fig. 2b: the acceptance test runs
-                                    // at the exit line. Rejection turns
-                                    // into a raised exception at the
-                                    // highest-numbered participant; an
-                                    // exhausted (or absent) test accepts.
-                                    let verdict = acceptance.get_mut(action).and_then(|t| t());
-                                    match verdict {
-                                        Some(exc) => {
-                                            waiting.clear();
-                                            let tester =
-                                                *everyone.last().expect("actions are non-empty");
-                                            net.schedule_local(
-                                                net.now(),
-                                                tester,
-                                                Event::Raise(exc),
-                                            );
-                                        }
-                                        None => {
-                                            for &member in everyone {
-                                                net.schedule_local(
-                                                    net.now(),
-                                                    member,
-                                                    Event::LeaveGranted(*action),
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        notes.push(note);
-                    }
+                    rec.note(at, note);
                 }
             }
         }
+        Some((at, object))
+    }
 
-        let deadlocked: Vec<NodeId> = participants
+    /// The centralized action manager's synchronized exit: grants the
+    /// leave once every participant of `action` is at the line (only
+    /// under [`LeaveMode::Managed`]; the distributed mode coordinates
+    /// by messages).
+    fn leave_requested(&mut self, object: NodeId, action: ActionId) {
+        let p = self.participants[object.index() as usize]
+            .as_ref()
+            .expect("leave request from an installed node");
+        if p.leave_mode != LeaveMode::Managed {
+            return;
+        }
+        let everyone = p
+            .registry
+            .scope(action)
+            .expect("declared action")
+            .participants();
+        let waiting = self.leave_requests.entry(action).or_default();
+        waiting.insert(object);
+        if waiting.len() < everyone.len() {
+            return;
+        }
+        // Fig. 2b: the acceptance test runs at the exit line. Rejection
+        // turns into a raised exception at the highest-numbered
+        // participant; an exhausted (or absent) test accepts.
+        let now = self.net.now();
+        match self.acceptance.get_mut(&action).and_then(|t| t()) {
+            Some(exc) => {
+                waiting.clear();
+                let tester = *everyone.last().expect("actions are non-empty");
+                self.net.schedule_local(now, tester, Event::Raise(exc));
+            }
+            None => {
+                for &member in everyone {
+                    self.net
+                        .schedule_local(now, member, Event::LeaveGranted(action));
+                }
+            }
+        }
+    }
+
+    /// Ends the run: tells the observer, if any, the final time.
+    pub(crate) fn end(&mut self) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.on_run_end(self.net.now());
+        }
+    }
+
+    /// `true` unless `node`'s participant is mid-resolution (a node no
+    /// script installed counts as normal).
+    pub(crate) fn is_normal(&self, node: NodeId) -> bool {
+        self.participants
+            .get(node.index() as usize)
+            .and_then(Option::as_ref)
+            .is_none_or(Participant::is_normal)
+    }
+
+    /// Objects stuck mid-resolution, ascending by id.
+    pub(crate) fn deadlocked(&self) -> Vec<NodeId> {
+        self.participants
             .iter()
+            .flatten()
             .filter(|p| !p.is_normal())
             .map(Participant::id)
-            .collect();
-        if let Some(obs) = obs {
-            obs.on_run_end(net.now());
-        }
-
-        RunReport {
-            resolutions,
-            handler_starts,
-            failures,
-            notes,
-            stats: net.stats().clone(),
-            finished_at: net.now(),
-            deadlocked,
-            hit_delivery_limit,
-            trace: net.trace().clone(),
-            multicasts,
-            wire_bytes,
-        }
+            .collect()
     }
 }

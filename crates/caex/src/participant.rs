@@ -112,7 +112,7 @@ pub enum Silence {
 /// overview and the field comments for the paper's data structures.
 pub struct Participant {
     id: NodeId,
-    registry: Arc<ActionRegistry>,
+    pub(crate) registry: Arc<ActionRegistry>,
     handlers: HashMap<ActionId, HandlerTable>,
     /// `SA`: entered actions, outermost first; the last is the *active*
     /// action.
@@ -142,7 +142,7 @@ pub struct Participant {
     /// all resolve and commit (k = 1 is the paper's base algorithm).
     resolver_group: u32,
     /// Centralized or decentralized synchronized leave.
-    leave_mode: LeaveMode,
+    pub(crate) leave_mode: LeaveMode,
     /// Distributed leave: actions whose exit line this object reached.
     leave_requested: HashSet<ActionId>,
     /// Distributed leave: peers' `LeaveReady` announcements per action.
@@ -1081,6 +1081,17 @@ impl Participant {
 
     fn on_msg(&mut self, msg: Msg, fx: &mut Vec<Effect>) {
         let action = msg.action();
+        // Peer input is checked before it can reach `LE`: an exception
+        // class outside the action's tree could never be resolved.
+        if let Msg::Exception { exc, .. } | Msg::NestedCompleted { exc: Some(exc), .. } = &msg {
+            if !self.registry.scope(action).is_ok_and(|s| s.tree().contains(exc.id())) {
+                fx.push(Effect::Note(Note::Rejected {
+                    object: self.id,
+                    msg,
+                }));
+                return;
+            }
+        }
         // Zombie fencing: once the failure detector reported a peer
         // dead, nothing it says counts any more. In particular a
         // resumed (SIGCONT) or restarted resolver's late `Commit` must
@@ -1700,6 +1711,44 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn an_exception_outside_the_tree_is_rejected_at_receipt() {
+        // O1 is the resolver of A over {O0, O1}: an unknown class in
+        // its LE would reach `ExceptionTree::resolve`.
+        let tree = Arc::new(chain_tree(2));
+        let mut reg = ActionRegistry::new();
+        let a = reg
+            .declare(ActionScope::top_level("A", ids(2), tree))
+            .unwrap();
+        let mut p = Participant::new(NodeId::new(1), Arc::new(reg), NestedStrategy::Abort);
+        p.handle(Event::Enter(a));
+        p.handle(Event::Raise(Exception::new(ExceptionId::new(1))));
+        let foreign = Msg::Exception {
+            action: a,
+            from: NodeId::new(0),
+            exc: Exception::new(ExceptionId::new(99)),
+        };
+        let fx = p.handle(Event::Msg(foreign.clone()));
+        assert_eq!(
+            fx,
+            vec![Effect::Note(Note::Rejected {
+                object: NodeId::new(1),
+                msg: foreign,
+            })],
+            "a note, and no ACK"
+        );
+        assert_eq!(p.known_exceptions().len(), 1, "LE unchanged");
+        let fx = p.handle(Event::Msg(Msg::Ack {
+            from: NodeId::new(0),
+            action: a,
+        }));
+        let resolved = fx.iter().find_map(|e| match e {
+            Effect::Note(Note::ResolutionCommitted { resolved, .. }) => Some(resolved.id()),
+            _ => None,
+        });
+        assert_eq!(resolved, Some(ExceptionId::new(1)));
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct ActionProgram {
     programs: HashMap<NodeId, Vec<Step>>,
     config: NetConfig,
     handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    acceptance: Option<Box<dyn FnMut() -> Option<Exception>>>,
+    acceptance: Option<Box<dyn FnMut() -> Option<Exception> + Send>>,
     start: SimTime,
 }
 
@@ -201,7 +201,7 @@ impl ActionProgram {
     #[must_use]
     pub fn with_acceptance<F>(mut self, test: F) -> Self
     where
-        F: FnMut() -> Option<Exception> + 'static,
+        F: FnMut() -> Option<Exception> + Send + 'static,
     {
         self.acceptance = Some(Box::new(test));
         self

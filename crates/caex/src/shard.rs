@@ -13,11 +13,12 @@
 //!   instance keys its protocol state, metrics and observability by
 //!   its own `(ActionId, round)` spans;
 //! - [`FleetEngine`] — shards instances round-robin across worker
-//!   threads; each shard is one [`SimNet`] event loop interleaving all
-//!   of its instances' deliveries in virtual-time order, with
-//!   admission control (`capacity` concurrent slots per shard) so that
-//!   offered load beyond capacity queues, exactly like a bounded
-//!   worker pool;
+//!   threads; each shard is one [`caex_net::SimNet`] event loop (the
+//!   same driver [`Scenario::run`](crate::Scenario::run) uses)
+//!   interleaving all of its instances' deliveries in virtual-time
+//!   order, with admission control (`capacity` concurrent slots per
+//!   shard) so that offered load beyond capacity queues, exactly like
+//!   a bounded worker pool;
 //! - [`ActionOutcome`] / [`FleetReport`] — per-action arrival,
 //!   admission, commit and completion times, message counts and the
 //!   §4.4 `(N−1)(2P+3Q+1)` law verdict, plus fleet-wide stats.
@@ -26,13 +27,12 @@
 //! wall-clock speedup, but reports are bit-identical for a given seed
 //! regardless of the host's scheduling.
 
-use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
-use caex_obs::Observer as _;
+use crate::engine::{Recorder, SimDriver};
+use crate::{Event, Msg, Note, Scenario};
+use caex_action::ActionId;
+use caex_net::{Kinded, NetConfig, NetStats, NodeId, SimTime};
 use caex_tree::Exception;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One relocatable action structure plus its scripted timeline, ready
 /// to be multiplexed by a [`FleetEngine`].
@@ -42,14 +42,9 @@ use std::sync::Arc;
 /// the §4.4 workload to per-instance node/action bases).
 #[derive(Debug)]
 pub struct ActionInstance {
-    registry: Arc<ActionRegistry>,
-    /// Scripted events as offsets from the instance's admission time.
-    steps: Vec<(SimTime, NodeId, Event)>,
-    handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    strategy: NestedStrategy,
-    resolver_group: u32,
-    leave_mode: LeaveMode,
-    failover: bool,
+    /// The script, installed at admission with its scripted times as
+    /// offsets from the admission time.
+    scenario: Scenario,
     /// Open-loop arrival time (absolute virtual time).
     arrival: SimTime,
     /// Latency budget from arrival, if the request carries a deadline.
@@ -64,6 +59,16 @@ impl ActionInstance {
     /// Wraps a scenario as a fleet instance arriving at `arrival`.
     /// The scenario's scripted times become offsets from admission.
     ///
+    /// The instance runs the whole script exactly as
+    /// [`Scenario::run`] would: handler tables, strategy and
+    /// `nested_remaining` times, resolver group, leave mode, exit-line
+    /// acceptance tests, failover and detection delay. The fleet
+    /// overrides two settings: the scenario's [`NetConfig`] (the
+    /// shard's [`FleetConfig::net`] applies, including its fault plan,
+    /// whose times are absolute rather than offsets from admission)
+    /// and its delivery limit ([`FleetConfig::max_deliveries`] caps
+    /// the whole shard).
+    ///
     /// # Panics
     ///
     /// Panics unless the scenario declares exactly one top-level
@@ -71,11 +76,7 @@ impl ActionInstance {
     /// for several requests).
     #[must_use]
     pub fn from_scenario(scenario: Scenario, arrival: SimTime) -> Self {
-        let strategy = scenario.strategy();
-        let resolver_group = scenario.resolver_group_size();
-        let leave_mode = scenario.leave_mode();
-        let failover = scenario.failover();
-        let (registry, steps, handlers) = scenario.into_script();
+        let registry = scenario.registry();
         let top = registry.top_level();
         assert_eq!(
             top.len(),
@@ -90,13 +91,7 @@ impl ActionInstance {
             .participants()
             .to_vec();
         ActionInstance {
-            registry,
-            steps,
-            handlers,
-            strategy,
-            resolver_group,
-            leave_mode,
-            failover,
+            scenario,
             arrival,
             deadline: None,
             key,
@@ -133,7 +128,8 @@ impl ActionInstance {
     /// The instance's action-id range as `base..base+len`.
     #[must_use]
     pub fn action_range(&self) -> std::ops::Range<u32> {
-        self.registry.base()..self.registry.base() + self.registry.len() as u32
+        let registry = self.scenario.registry();
+        registry.base()..registry.base() + registry.len() as u32
     }
 }
 
@@ -456,6 +452,7 @@ fn merge_outputs(outputs: Vec<ShardOutput>, collect_flame: bool) -> FleetReport 
 }
 
 /// Tracking state for one admitted instance.
+#[derive(Default)]
 struct Live {
     admitted: SimTime,
     committed: Option<SimTime>,
@@ -600,7 +597,8 @@ impl ActionTable {
             };
             let n = batch[owner]
                 .1
-                .registry
+                .scenario
+                .registry()
                 .scope(round.action)
                 .map_or(0, |s| s.participants().len() as u64);
             let q = round.aborters.len() as u64;
@@ -616,16 +614,113 @@ impl ActionTable {
     }
 }
 
-/// Runs one shard's event loop: interleave all assigned instances'
-/// deliveries in virtual-time order, admitting instances into
-/// `capacity` slots in arrival order.
+/// One shard's bookkeeping around the [`SimDriver`]: admission into
+/// `capacity` slots in arrival order, each live instance's commit and
+/// completion, and the §4.4 law tally.
+struct Shard {
+    batch: Vec<(usize, ActionInstance)>,
+    /// node -> local slot in `batch`.
+    node_owner: Vec<Option<usize>>,
+    actions: ActionTable,
+    live: Vec<Option<Live>>,
+    pending: VecDeque<usize>,
+    active: usize,
+    capacity: usize,
+}
+
+impl Shard {
+    /// Admission: fill free slots in arrival order. Steps are offsets
+    /// from admission time, so an instance admitted after its arrival
+    /// (all slots were busy) starts late — that wait is the queueing
+    /// delay the saturation study measures.
+    fn admit(&mut self, driver: &mut SimDriver<'_>) {
+        while self.active < self.capacity {
+            let Some(local) = self.pending.pop_front() else { break };
+            let inst = &mut self.batch[local].1;
+            let start = inst.arrival.max(driver.net.now());
+            driver.install(&mut inst.scenario, &inst.nodes, start);
+            self.live[local] = Some(Live {
+                admitted: start,
+                ..Live::default()
+            });
+            self.active += 1;
+        }
+    }
+
+    /// Completion check for the instance owning `object`, which just
+    /// made progress: resolution committed, every handler it started
+    /// has finished, and all of its participants are back to normal.
+    /// A completed instance frees its slot for the next admission.
+    fn progressed(&mut self, at: SimTime, object: NodeId, driver: &mut SimDriver<'_>) {
+        let Some(local) = self.node_owner[object.index() as usize] else { return };
+        let Some(slot) = self.live[local].as_mut() else { return };
+        if slot.finished.is_none()
+            && slot.committed.is_some()
+            && slot.handlers_open == 0
+            && self.batch[local].1.nodes.iter().all(|&n| driver.is_normal(n))
+        {
+            slot.finished = Some(at);
+            self.active -= 1;
+            self.admit(driver);
+        }
+    }
+}
+
+impl Recorder for Shard {
+    fn delivering(&mut self, object: NodeId, event: &Event) {
+        if let Event::HandlerDone { .. } = event {
+            let owner = self.node_owner[object.index() as usize];
+            if let Some(slot) = owner.and_then(|l| self.live[l].as_mut()) {
+                slot.handlers_open = slot.handlers_open.saturating_sub(1);
+            }
+        }
+    }
+
+    fn sent(&mut self, msg: &Msg) {
+        self.actions.sent(msg.action(), msg.kind());
+    }
+
+    fn note(&mut self, at: SimTime, note: Note) {
+        match note {
+            Note::Raised { action, .. } => self.actions.raised(action),
+            Note::AbortedNested { object, outer, .. }
+            | Note::WaitingForNested { object, outer, .. } => {
+                self.actions.aborted(outer, object);
+            }
+            Note::ResolutionCommitted {
+                action,
+                resolver,
+                resolved,
+                raised,
+            } => {
+                self.actions.committed(action, &raised);
+                if let Some(slot) = self.actions.owner(action).and_then(|l| self.live[l].as_mut()) {
+                    if slot.committed.is_none() {
+                        slot.committed = Some(at);
+                        slot.resolver = Some(resolver);
+                        slot.resolved = Some(resolved);
+                    }
+                }
+            }
+            Note::HandlerStarted { action, .. } => {
+                if let Some(slot) = self.actions.owner(action).and_then(|l| self.live[l].as_mut()) {
+                    slot.handlers_open += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Runs one shard: interleave all assigned instances' deliveries in
+/// virtual-time order through one [`SimDriver`], admitting instances
+/// into `capacity` slots in arrival order.
 ///
-/// Without an observer (and without flame collection) the loop never
+/// Without an observer (and without flame collection) the driver never
 /// touches [`crate::ObsBridge`]: unobserved runs pay only for the
-/// protocol and the loop's own bookkeeping.
-#[allow(clippy::too_many_lines)]
+/// protocol and the shard's own bookkeeping.
 fn run_shard(
-    mut batch: Vec<(usize, ActionInstance)>,
+    batch: Vec<(usize, ActionInstance)>,
     shard: usize,
     config: &FleetConfig,
     obs: Option<&mut dyn caex_obs::Observer>,
@@ -636,8 +731,7 @@ fn run_shard(
         .map(|n| n.index() + 1)
         .max()
         .unwrap_or(0);
-    // node -> local slot in `batch`. Node ranges must be disjoint: one
-    // node serves one instance.
+    // Node ranges must be disjoint: one node serves one instance.
     let mut node_owner: Vec<Option<usize>> = vec![None; num_nodes as usize];
     for (local, (_, inst)) in batch.iter().enumerate() {
         for &n in &inst.nodes {
@@ -647,13 +741,11 @@ fn run_shard(
             );
         }
     }
-    let mut actions = ActionTable::new(&batch);
 
     let mut net_config = config.net.clone();
     net_config.seed = net_config
         .seed
         .wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(shard as u64));
-    let mut net: SimNet<Event> = SimNet::new(net_config, num_nodes);
 
     let mut flame = caex_obs::FlameBuilder::new();
     let observing = obs.is_some() || config.collect_flame;
@@ -664,190 +756,38 @@ fn run_shard(
     if let Some(obs) = obs {
         tee.push(obs);
     }
-    let mut bridge = crate::ObsBridge::new();
+    let mut driver = SimDriver::new(
+        net_config,
+        num_nodes,
+        config.max_deliveries,
+        observing.then_some(&mut tee as &mut dyn caex_obs::Observer),
+    );
 
-    let mut participants: Vec<Option<Participant>> = (0..num_nodes).map(|_| None).collect();
-    let mut live: Vec<Option<Live>> = (0..batch.len()).map(|_| None).collect();
-    let mut pending: VecDeque<usize> = (0..batch.len()).collect();
-    let mut active = 0usize;
-    let mut leave_requests: HashMap<ActionId, std::collections::BTreeSet<NodeId>> = HashMap::new();
-    let mut hit_delivery_limit = false;
-
-    // Admission: fill free slots in arrival order. Steps are offsets
-    // from admission time, so an instance admitted after its arrival
-    // (all slots were busy) starts late — that wait is the queueing
-    // delay the saturation study measures.
-    macro_rules! admit_ready {
-        () => {
-            while active < config.capacity {
-                let Some(local) = pending.pop_front() else { break };
-                // Handler tables are moved into participants once, at
-                // admission (`HandlerTable` is not `Clone`).
-                let handlers = std::mem::take(&mut batch[local].1.handlers);
-                let (_, inst) = &batch[local];
-                let start = inst.arrival.max(net.now());
-                for &n in &inst.nodes {
-                    let mut p = Participant::new(n, Arc::clone(&inst.registry), inst.strategy);
-                    p.set_resolver_group(inst.resolver_group);
-                    p.set_leave_mode(inst.leave_mode);
-                    p.set_failover(inst.failover);
-                    participants[n.index() as usize] = Some(p);
-                }
-                for (object, action, table) in handlers {
-                    participants[object.index() as usize]
-                        .as_mut()
-                        .expect("handler for unknown object")
-                        .set_handlers(action, table);
-                }
-                for (offset, object, event) in &inst.steps {
-                    net.schedule_local(start + *offset, *object, event.clone());
-                }
-                live[local] = Some(Live {
-                    admitted: start,
-                    committed: None,
-                    finished: None,
-                    resolver: None,
-                    resolved: None,
-                    handlers_open: 0,
-                });
-                active += 1;
-            }
-        };
+    let mut state = Shard {
+        actions: ActionTable::new(&batch),
+        live: (0..batch.len()).map(|_| None).collect(),
+        pending: (0..batch.len()).collect(),
+        batch,
+        node_owner,
+        active: 0,
+        capacity: config.capacity,
+    };
+    state.admit(&mut driver);
+    while let Some((at, object)) = driver.step(&mut state) {
+        state.progressed(at, object, &mut driver);
     }
-    admit_ready!();
+    driver.end();
 
-    while let Some(delivery) = net.next_delivery() {
-        if net.delivered_count() > config.max_deliveries {
-            hit_delivery_limit = true;
-            break;
-        }
-        let at = delivery.at;
-        let object = delivery.to;
-        let local = node_owner[object.index() as usize];
-        let is_handler_done = matches!(delivery.payload, Event::HandlerDone { .. });
-        let participant = participants[object.index() as usize]
-            .as_mut()
-            .expect("delivery to unknown object");
-        let effects = if observing {
-            if let caex_net::DeliverySource::Remote(from) = delivery.source {
-                bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
-            }
-            let pre = bridge.pre(participant, &delivery.payload);
-            let effects = participant.handle(delivery.payload);
-            bridge.post(&pre, participant, &effects, at, None, &mut tee);
-            effects
-        } else {
-            participant.handle(delivery.payload)
-        };
-        if is_handler_done {
-            if let Some(slot) = local.and_then(|l| live[l].as_mut()) {
-                slot.handlers_open = slot.handlers_open.saturating_sub(1);
-            }
-        }
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    actions.sent(msg.action(), msg.kind());
-                    net.send(object, to, Event::Msg(msg));
-                }
-                Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                Effect::Note(note) => match note {
-                    Note::Raised { action, .. } => actions.raised(action),
-                    Note::AbortedNested { outer, .. } | Note::WaitingForNested { outer, .. } => {
-                        actions.aborted(outer, object);
-                    }
-                    Note::ResolutionCommitted {
-                        action,
-                        resolver,
-                        resolved,
-                        raised,
-                    } => {
-                        actions.committed(action, &raised);
-                        if let Some(slot) = actions.owner(action).and_then(|l| live[l].as_mut()) {
-                            if slot.committed.is_none() {
-                                slot.committed = Some(at);
-                                slot.resolver = Some(resolver);
-                                slot.resolved = Some(resolved);
-                            }
-                        }
-                    }
-                    Note::HandlerStarted { action, .. } => {
-                        if let Some(slot) = actions.owner(action).and_then(|l| live[l].as_mut()) {
-                            slot.handlers_open += 1;
-                        }
-                    }
-                    Note::LeaveRequested { object: o, action } => {
-                        let instance_mode = local
-                            .map(|l| batch[l].1.leave_mode)
-                            .unwrap_or(LeaveMode::Managed);
-                        if instance_mode == LeaveMode::Managed {
-                            let waiting = leave_requests.entry(action).or_default();
-                            waiting.insert(o);
-                            let registry = &batch[local.expect("leave from owned node")].1.registry;
-                            let everyone = registry
-                                .scope(action)
-                                .expect("declared action")
-                                .participants();
-                            if waiting.len() == everyone.len() {
-                                for &member in everyone {
-                                    net.schedule_local(
-                                        net.now(),
-                                        member,
-                                        Event::LeaveGranted(action),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                },
-            }
-        }
-        // Completion check for the instance that just made progress:
-        // resolution committed, every handler it started has finished,
-        // and all of its participants are back to normal.
-        if let Some(l) = local {
-            let done = match live[l].as_ref() {
-                Some(slot) => {
-                    slot.finished.is_none()
-                        && slot.committed.is_some()
-                        && slot.handlers_open == 0
-                        && batch[l].1.nodes.iter().all(|n| {
-                            participants[n.index() as usize]
-                                .as_ref()
-                                .is_none_or(Participant::is_normal)
-                        })
-                }
-                None => false,
-            };
-            if done {
-                if let Some(slot) = live[l].as_mut() {
-                    slot.finished = Some(at);
-                }
-                active -= 1;
-                admit_ready!();
-            }
-        }
-    }
-    tee.on_run_end(net.now());
-    drop(tee);
-
-    let verdicts = actions.verdicts(&batch, config.law);
-    let deadlocked: Vec<NodeId> = participants
+    let verdicts = state.actions.verdicts(&state.batch, config.law);
+    let outcomes = state
+        .batch
         .iter()
-        .flatten()
-        .filter(|p| !p.is_normal())
-        .map(Participant::id)
-        .collect();
-
-    let outcomes = batch
-        .iter()
-        .zip(live)
+        .zip(state.live)
         .zip(verdicts)
         .map(|(((global, inst), slot), (law_predicted, law_holds))| {
             let messages = inst
                 .action_range()
-                .map(|a| net.stats().action_counters(a).sent)
+                .map(|a| driver.net.stats().action_counters(a).sent)
                 .sum();
             ActionOutcome {
                 instance: *global,
@@ -869,10 +809,10 @@ fn run_shard(
 
     ShardOutput {
         outcomes,
-        stats: net.stats().clone(),
-        finished_at: net.now(),
-        deadlocked,
-        hit_delivery_limit,
+        stats: driver.net.stats().clone(),
+        finished_at: driver.net.now(),
+        deadlocked: driver.deadlocked(),
+        hit_delivery_limit: driver.hit_delivery_limit,
         folded: config.collect_flame.then(|| flame.folded()),
     }
 }

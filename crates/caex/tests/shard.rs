@@ -7,10 +7,13 @@
 //! degenerates.
 
 use caex::shard::{ActionInstance, FleetConfig, FleetEngine, FleetReport};
-use caex::{analysis, workloads};
-use caex_net::{LatencyModel, NetConfig, NodeId, SimTime};
-use caex_obs::{MetricsRegistry, ObsEvent, Observer, Tee, Watchdog};
+use caex::{analysis, workloads, NestedStrategy, Scenario};
+use caex_action::{ActionRegistry, ActionScope};
+use caex_net::{FaultPlan, LatencyModel, NetConfig, NodeId, SimTime};
+use caex_obs::{MetricsRegistry, ObsEvent, ObsKind, Observer, Tee, Watchdog};
+use caex_tree::{chain_tree, Exception, ExceptionId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Collects the raw event stream.
 #[derive(Default)]
@@ -29,6 +32,16 @@ impl Observer for Recorder {
 fn both_ways(
     build: impl Fn() -> caex::Scenario,
 ) -> (Vec<ObsEvent>, Vec<ObsEvent>, caex::shard::FleetReport, caex::RunReport) {
+    both_ways_over(NetConfig::default(), build)
+}
+
+/// [`both_ways`] with the fleet running over `net`, which should be
+/// the network the scenario was built with (the fleet's network
+/// config replaces the scenario's own).
+fn both_ways_over(
+    net: NetConfig,
+    build: impl Fn() -> caex::Scenario,
+) -> (Vec<ObsEvent>, Vec<ObsEvent>, caex::shard::FleetReport, caex::RunReport) {
     let mut direct_obs = Recorder::default();
     let direct = build().run_observed(&mut direct_obs);
 
@@ -37,6 +50,7 @@ fn both_ways(
     let config = FleetConfig {
         shards: 1,
         capacity: 1,
+        net,
         law: Some(analysis::messages_general),
         ..Default::default()
     };
@@ -94,6 +108,130 @@ fn example2_through_the_fleet_matches_the_scenario_engine() {
     // O2 resolves in A1 after the nested resolution is eliminated
     // (§4.3 Example 2's narration).
     assert_eq!(fleet.outcomes[0].resolver, Some(NodeId::new(2)));
+}
+
+/// Example 1 with `victim` crashing at `at` over 100 µs links.
+fn crash_config(victim: NodeId, at: SimTime) -> NetConfig {
+    NetConfig::default()
+        .with_latency(LatencyModel::Constant(SimTime::from_micros(100)))
+        .with_faults(FaultPlan::none().with_crash(victim, at))
+}
+
+/// The failover grid of Example 1 (victims O1–O3, crashes at 0–500 µs
+/// in 10 µs steps): the fleet plays the failure detector exactly as
+/// `Scenario::run` does, so no survivor is left stuck.
+#[test]
+fn example1_crash_grid_through_the_fleet_matches_the_scenario_engine() {
+    for victim in (1..=3).map(NodeId::new) {
+        for t in (0..=50).map(|k| SimTime::from_micros(k * 10)) {
+            let net = crash_config(victim, t);
+            let (de, fe, fleet, direct) =
+                both_ways_over(net.clone(), || workloads::example1(net.clone()).0.scenario);
+            assert_golden_equivalence(&de, &fe, &fleet, &direct);
+            let survivors_stuck = |stuck: &[NodeId]| -> Vec<NodeId> {
+                stuck.iter().copied().filter(|&n| n != victim).collect()
+            };
+            assert_eq!(
+                survivors_stuck(&fleet.deadlocked),
+                survivors_stuck(&direct.deadlocked),
+                "victim={victim} t={t}"
+            );
+            assert!(
+                survivors_stuck(&fleet.deadlocked).is_empty(),
+                "victim={victim} t={t}: survivors stuck"
+            );
+            assert_eq!(fleet.hit_delivery_limit, direct.hit_delivery_limit);
+        }
+    }
+}
+
+/// Fig. 1a's `Wait` strategy: the resolution stalls until the nested
+/// action's declared remaining time runs out, in the fleet too.
+#[test]
+fn wait_strategy_nested_remaining_through_the_fleet() {
+    let build = || {
+        let tree = Arc::new(chain_tree(2));
+        let mut reg = ActionRegistry::new();
+        let a1 = reg
+            .declare(ActionScope::top_level(
+                "A1",
+                [NodeId::new(0), NodeId::new(1)],
+                Arc::clone(&tree),
+            ))
+            .unwrap();
+        let a2 = reg
+            .declare(ActionScope::nested("A2", [NodeId::new(1)], tree, a1))
+            .unwrap();
+        Scenario::new(Arc::new(reg))
+            .with_strategy(NestedStrategy::Wait)
+            .enter_all_at(SimTime::ZERO, a1)
+            .enter_at(SimTime::from_micros(1), NodeId::new(1), a2)
+            .nested_remaining(NodeId::new(1), a2, Some(SimTime::from_millis(50)))
+            .raise_at(
+                SimTime::from_micros(10),
+                NodeId::new(0),
+                Exception::new(ExceptionId::new(1)),
+            )
+    };
+    let (de, fe, fleet, direct) = both_ways(build);
+    assert_golden_equivalence(&de, &fe, &fleet, &direct);
+    assert_eq!(fleet.outcomes[0].committed, Some(SimTime::from_micros(50_210)));
+}
+
+/// Three objects reach A1's exit line; the acceptance test rejects
+/// with E1.
+fn rejecting_acceptance() -> Scenario {
+    let tree = Arc::new(chain_tree(2));
+    let mut reg = ActionRegistry::new();
+    let a1 = reg
+        .declare(ActionScope::top_level("A1", (0..3).map(NodeId::new), tree))
+        .unwrap();
+    let mut scenario = Scenario::new(Arc::new(reg))
+        .enter_all_at(SimTime::ZERO, a1)
+        .with_exit_acceptance(a1, || {
+            Some(Exception::new(ExceptionId::new(1)).with_origin("acceptance test"))
+        });
+    for i in 0..3 {
+        scenario = scenario.complete_at(SimTime::from_micros(10), NodeId::new(i), a1);
+    }
+    scenario
+}
+
+/// A rejecting exit-line acceptance test (Fig. 2b) turns into a
+/// resolution in the fleet as in `Scenario::run`: O2 resolves E1 and
+/// all three objects handle it.
+#[test]
+fn rejecting_exit_acceptance_through_the_fleet() {
+    let (de, fe, fleet, direct) = both_ways(rejecting_acceptance);
+    assert_golden_equivalence(&de, &fe, &fleet, &direct);
+    let outcome = &fleet.outcomes[0];
+    assert_eq!(outcome.resolver, Some(NodeId::new(2)));
+    assert_eq!(outcome.resolved.as_ref().map(Exception::id), Some(ExceptionId::new(1)));
+    let handlers = fe
+        .iter()
+        .filter(|e| matches!(e.kind, ObsKind::HandlerStart { .. }))
+        .count();
+    assert_eq!(handlers, 3);
+    assert!(fleet.deadlocked.is_empty());
+}
+
+/// Acceptance tests travel with their instance to the shard threads.
+#[test]
+fn acceptance_tests_run_on_shard_threads() {
+    let instances = (0..2)
+        .map(|i| ActionInstance::from_scenario(rejecting_acceptance(), SimTime::from_micros(i)))
+        .collect();
+    let config = FleetConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    let report = FleetEngine::new(config).run(instances);
+    assert_eq!(report.committed_count(), 2);
+    for o in &report.outcomes {
+        assert_eq!(o.resolver, Some(NodeId::new(2)), "instance {}", o.instance);
+        assert_eq!(o.resolved.as_ref().map(Exception::id), Some(ExceptionId::new(1)));
+        assert!(o.finished.is_some(), "instance {} drained", o.instance);
+    }
 }
 
 /// Valid §4.4 shapes: `N` participants, `1 <= P`, `P + Q <= N`, plus a
